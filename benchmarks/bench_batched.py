@@ -1,11 +1,12 @@
 """Wall-clock evidence for batched replicate execution (BENCH_batched.json).
 
-``--mode lockstep`` times the lockstep co-advance driver against the
-legacy scalar-in-turn batch path on one batch (``execute_batch`` with
-``REPRO_LOCKSTEP`` toggled), paired-interleaved, payloads asserted
-bit-identical (``==``) before any timing is reported; this feeds
-BENCH_lockstep.json.  The default ``--mode sweep`` is the original
-whole-adaptive-sweep comparison below.
+``--mode lockstep`` times one ``execute_batch`` call against the same
+replicates run one by one through ``execute_spec`` (the scalar
+reference), paired-interleaved, payloads asserted bit-identical (``==``)
+before any timing is reported.  ``--mode cell`` compares one adaptive
+cell swept with ``batch_runs="off"`` and ``"auto"`` in fresh
+subprocesses.  The default ``--mode sweep`` is the whole-adaptive-sweep
+comparison below.
 
 One measurement, two comparisons:
 
@@ -122,27 +123,24 @@ def time_lockstep_batch(
     scheduler: str = "da",
     parallelism: int = 2,
     machine: str | None = None,
-    lockstep_env: dict | None = None,
 ) -> dict:
-    """Paired lockstep-vs-scalar timing of one ``execute_batch`` call.
+    """Paired batch-vs-scalar timing of one cell's replicates.
 
-    The two drivers alternate within each repeat (best-of-N each) so
-    host-load drift hits both equally, and their per-replicate payloads
-    are asserted bit-identical (``==``) before any timing is reported.
-    ``machine`` swaps the fig4 cell's TX2 for a wider registry machine
-    (e.g. ``haswell16``, 30 places); the TX2-specific co-runner scenario
-    is dropped with it.
-    ``lockstep_env`` optionally pins the driver knobs
-    (``REPRO_LOCKSTEP_DECISIONS``/``_FOLDS``); default leaves the auto
-    gates in charge, which is what a real sweep gets.
+    ``execute_batch`` on the replicates and a per-replicate
+    ``execute_spec`` loop over the same replicates alternate within each
+    repeat (best-of-N each) so host-load drift hits both equally; their
+    payloads are asserted bit-identical (``==``) before any timing is
+    reported.  ``machine`` swaps the fig4 cell's TX2 for a wider registry
+    machine (e.g. ``haswell16``, 30 places); the TX2-specific co-runner
+    scenario is dropped with it.
     """
     import dataclasses
-    import os
 
     from repro.core.batched import execute_batch
     from repro.experiments.common import ExperimentSettings
     from repro.experiments.fig4_corunner import fig4_spec
     from repro.sweep import replicate_spec
+    from repro.sweep.registry import execute_spec
 
     cell = fig4_spec(
         ExperimentSettings(scale=scale), "matmul", parallelism, scheduler
@@ -153,44 +151,23 @@ def time_lockstep_batch(
         params.pop("scenario", None)
         cell = dataclasses.replace(cell, params=params)
     members = [replicate_spec(cell, rep) for rep in range(runs)]
-    saved = {
-        key: os.environ.get(key)
-        for key in (
-            "REPRO_LOCKSTEP", "REPRO_LOCKSTEP_DECISIONS",
-            "REPRO_LOCKSTEP_FOLDS", "REPRO_LOCKSTEP_LEAN",
-        )
-    }
 
-    def _with_mode(lockstep: bool):
-        os.environ["REPRO_LOCKSTEP"] = "1" if lockstep else "0"
-        if lockstep:
-            for key, value in (lockstep_env or {}).items():
-                os.environ[key] = value
+    def _scalar():
+        return [{"ok": execute_spec(spec)} for spec in members]
+
+    def _timed(fn, *args):
         start = time.perf_counter()
-        payloads = execute_batch(members)
+        payloads = fn(*args)
         return payloads, time.perf_counter() - start
 
-    try:
-        # Bit-identity first, outside the timed repeats (also warms the
-        # numpy/template caches for both paths equally).
-        scalar_payloads, _ = _with_mode(False)
-        lockstep_payloads, _ = _with_mode(True)
-        if lockstep_payloads != scalar_payloads:
-            raise AssertionError(
-                "lockstep payloads diverged from the scalar batch path"
-            )
-        best_scalar = best_lockstep = float("inf")
-        for _ in range(repeats):
-            _, scalar_elapsed = _with_mode(False)
-            best_scalar = min(best_scalar, scalar_elapsed)
-            _, lockstep_elapsed = _with_mode(True)
-            best_lockstep = min(best_lockstep, lockstep_elapsed)
-    finally:
-        for key, old in saved.items():
-            if old is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = old
+    # Bit-identity first, outside the timed repeats (also warms the
+    # numpy/template caches for both paths equally).
+    if execute_batch(members) != _scalar():
+        raise AssertionError("batch payloads diverged from execute_spec")
+    best_scalar = best_batch = float("inf")
+    for _ in range(repeats):
+        best_scalar = min(best_scalar, _timed(_scalar)[1])
+        best_batch = min(best_batch, _timed(execute_batch, members)[1])
     return {
         "scheduler": scheduler,
         "parallelism": parallelism,
@@ -200,8 +177,8 @@ def time_lockstep_batch(
         "repeats": repeats,
         "bit_identical": True,
         "scalar_seconds": best_scalar,
-        "lockstep_seconds": best_lockstep,
-        "lockstep_speedup": best_scalar / best_lockstep,
+        "batched_seconds": best_batch,
+        "batched_speedup": best_scalar / best_batch,
     }
 
 
@@ -233,7 +210,7 @@ print(json.dumps({{
     "elapsed": elapsed,
     "results": results,
     "batched_runs": stats.batched_runs,
-    "lockstep_batches": stats.lockstep_batches,
+    "batches": stats.batches,
 }}))
 """
 
@@ -248,10 +225,9 @@ def time_lockstep_cell(
 ) -> dict:
     """Adaptive-cell batched-vs-scalar, paired fresh subprocesses.
 
-    This is the acceptance comparison for lockstep: one eligible
-    replicated cell swept at jobs=1 with ``batch_runs="off"`` (scalar
-    replicates, the pre-batching path) versus ``batch_runs="auto"``
-    (one lockstep batch), each measurement in a fresh subprocess,
+    One eligible replicated cell swept at jobs=1 with
+    ``batch_runs="off"`` (scalar replicates) versus ``batch_runs="auto"``
+    (one batch), each measurement in a fresh subprocess,
     modes alternating within every repeat so host-load drift cancels.
     Aggregated per-cell metrics are asserted ``==`` across modes before
     any timing is reported; best-of-N per side.
@@ -275,7 +251,7 @@ def time_lockstep_cell(
         return json.loads(out.stdout)
 
     best_off = best_auto = float("inf")
-    ref = lockstep_batches = batched_runs = None
+    ref = batches = batched_runs = None
     for _ in range(repeats):
         off = _child("off")
         auto = _child("auto")
@@ -287,7 +263,7 @@ def time_lockstep_cell(
             )
         best_off = min(best_off, off["elapsed"])
         best_auto = min(best_auto, auto["elapsed"])
-        lockstep_batches = auto["lockstep_batches"]
+        batches = auto["batches"]
         batched_runs = auto["batched_runs"]
     return {
         "scheduler": scheduler,
@@ -298,7 +274,7 @@ def time_lockstep_cell(
         "repeats": repeats,
         "bit_identical": True,
         "batched_runs": batched_runs,
-        "lockstep_batches": lockstep_batches,
+        "batches": batches,
         "scalar_seconds": best_off,
         "batched_seconds": best_auto,
         "batched_speedup": best_off / best_auto,
@@ -314,7 +290,7 @@ def main(argv=None) -> int:
         "--mode", choices=("sweep", "lockstep", "cell", "both"),
         default="sweep",
         help="sweep: adaptive batch_runs on/off comparison; lockstep: "
-        "one-batch lockstep-vs-scalar driver comparison; cell: "
+        "one execute_batch call vs per-replicate execute_spec; cell: "
         "subprocess-paired adaptive-cell batched-vs-scalar comparison",
     )
     parser.add_argument(

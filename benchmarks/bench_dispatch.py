@@ -2,13 +2,12 @@
 
 Runs one overhead-dominated sweep — many tiny ``single`` cells differing
 only in their seed — through each dispatch path (local process pool,
-inproc cluster, 2-worker TCP cluster) with the dispatch fast lane on and
-off (``REPRO_DISPATCH_FAST``), and reports wall clock, per-cell
-overhead, and the fast/legacy throughput ratio per path.
+inproc cluster, 2-worker TCP cluster) and reports wall clock, throughput
+and per-cell overhead against a serial inline run of the same cells.
 
-Metrics are asserted **bit-identical** between the two lanes before any
-timing is trusted: the fast lane is transport and scheduling only, it
-must never change a result.
+Every path's metrics are asserted **bit-identical** to the serial
+reference before its timing is reported: dispatch is transport and
+scheduling only, it must never change a result.
 
 Usage::
 
@@ -25,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from typing import Any, Dict, List, Optional, Tuple
@@ -96,12 +94,10 @@ def _make_runner(mode: str, label: str) -> Tuple[SweepRunner, List[Any]]:
 
 
 def run_once(
-    mode: str, fast: bool, specs: List[RunSpec]
+    mode: str, specs: List[RunSpec]
 ) -> Tuple[List[Dict[str, Any]], float]:
-    """One sweep through ``mode`` with the fast lane forced on/off."""
-    os.environ["REPRO_DISPATCH_FAST"] = "1" if fast else "0"
-    lane = "fast" if fast else "legacy"
-    runner, workers = _make_runner(mode, label=f"dispatch-{mode}-{lane}")
+    """One sweep through ``mode``."""
+    runner, workers = _make_runner(mode, label=f"dispatch-{mode}")
     try:
         start = time.perf_counter()
         rows = runner.run(specs)
@@ -116,40 +112,25 @@ def run_once(
 def bench_mode(
     mode: str,
     specs: List[RunSpec],
-    reference: Optional[List[Dict[str, Any]]],
+    reference: List[Dict[str, Any]],
     exec_seconds_per_cell: float,
-) -> Tuple[Dict[str, Any], List[Dict[str, Any]]]:
+) -> Dict[str, Any]:
     n = len(specs)
-    # Identity first (order swapped would hide a warmup asymmetry):
-    # the lanes must agree with each other and with the serial run.
-    rows_legacy, wall_legacy = run_once(mode, fast=False, specs=specs)
-    rows_fast, wall_fast = run_once(mode, fast=True, specs=specs)
-    if rows_fast != rows_legacy:
-        raise SystemExit(
-            f"FAIL: {mode}: fast-lane metrics differ from legacy"
-        )
-    if reference is not None and rows_fast != reference:
+    rows, wall = run_once(mode, specs)
+    if rows != reference:
         raise SystemExit(
             f"FAIL: {mode}: metrics differ from the serial reference"
         )
-    overhead_fast = max(0.0, wall_fast / n - exec_seconds_per_cell / JOBS)
-    overhead_legacy = max(
-        0.0, wall_legacy / n - exec_seconds_per_cell / JOBS
-    )
-    result = {
+    overhead = max(0.0, wall / n - exec_seconds_per_cell / JOBS)
+    return {
         "mode": mode,
         "cells": n,
         "workers": JOBS,
         "bit_identical": True,
-        "wall_fast_s": wall_fast,
-        "wall_legacy_s": wall_legacy,
-        "throughput_fast_cells_per_s": n / wall_fast,
-        "throughput_legacy_cells_per_s": n / wall_legacy,
-        "speedup": wall_legacy / wall_fast,
-        "per_cell_overhead_fast_ms": 1e3 * overhead_fast,
-        "per_cell_overhead_legacy_ms": 1e3 * overhead_legacy,
+        "wall_s": wall,
+        "throughput_cells_per_s": n / wall,
+        "per_cell_overhead_ms": 1e3 * overhead,
     }
-    return result, rows_fast
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -178,15 +159,12 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     results = []
     for mode in modes:
-        result, _rows = bench_mode(mode, specs, reference, exec_per_cell)
+        result = bench_mode(mode, specs, reference, exec_per_cell)
         results.append(result)
         print(
             f"{mode:7s} {result['cells']} cells x {JOBS} workers: "
-            f"legacy {result['wall_legacy_s']:.2f}s -> "
-            f"fast {result['wall_fast_s']:.2f}s "
-            f"({result['speedup']:.2f}x), per-cell overhead "
-            f"{result['per_cell_overhead_legacy_ms']:.1f}ms -> "
-            f"{result['per_cell_overhead_fast_ms']:.1f}ms, bit-identical"
+            f"{result['wall_s']:.2f}s, per-cell overhead "
+            f"{result['per_cell_overhead_ms']:.1f}ms, bit-identical"
         )
 
     out = {

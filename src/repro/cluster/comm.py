@@ -61,6 +61,33 @@ MAX_FRAME_BYTES = 64 * 1024 * 1024
 _EOF = object()
 
 
+def dismiss(conn: "Connection", farewell: Optional[Dict[str, Any]]) -> None:
+    """Send ``farewell`` (if any) on ``conn``, then close it."""
+    if farewell is not None:
+        try:
+            conn.send(farewell)
+        except ClusterError:
+            pass
+    conn.close()
+
+
+def _dismiss_unaccepted(
+    accept_q: "queue.Queue", farewell: Optional[Dict[str, Any]]
+) -> None:
+    """Dismiss every connection a closing listener never handed out.
+
+    A peer that connected but was never accepted would otherwise wait on
+    a socket nobody reads; with a ``farewell`` message it learns why the
+    connection ends instead of treating it as a drop to retry.
+    """
+    while True:
+        try:
+            conn = accept_q.get_nowait()
+        except queue.Empty:
+            return
+        dismiss(conn, farewell)
+
+
 def _parse_address(address: str) -> Tuple[str, str]:
     """Split ``scheme://rest``; raises on an unknown scheme."""
     if "://" not in address:
@@ -187,11 +214,14 @@ class InprocListener:
         except queue.Empty:
             return None
 
-    def close(self) -> None:
+    def close(self, farewell: Optional[Dict[str, Any]] = None) -> None:
+        """Stop accepting; see :func:`_dismiss_unaccepted` for
+        ``farewell``."""
         with _INPROC_LOCK:
             if _INPROC_LISTENERS.get(self.name) is self:
                 del _INPROC_LISTENERS[self.name]
-        self._closed = True
+            self._closed = True
+        _dismiss_unaccepted(self._accept_q, farewell)
 
 
 def _inproc_listen(name: str) -> InprocListener:
@@ -206,10 +236,12 @@ def _inproc_listen(name: str) -> InprocListener:
 def _inproc_connect(name: str) -> Connection:
     with _INPROC_LOCK:
         listener = _INPROC_LISTENERS.get(name)
-    if listener is None or listener._closed:
-        raise ClusterUnavailable(f"no listener at inproc://{name}")
-    ours, theirs = _inproc_pair()
-    listener._accept_q.put(theirs)
+        if listener is None or listener._closed:
+            raise ClusterUnavailable(f"no listener at inproc://{name}")
+        ours, theirs = _inproc_pair()
+        # Queued under the lock, so a concurrent close() either refuses
+        # this connection or finds it in the queue and dismisses it.
+        listener._accept_q.put(theirs)
     return ours
 
 
@@ -311,6 +343,17 @@ class TcpConnection(Connection):
         self._io.loop.call_soon_threadsafe(_shutdown)
 
 
+#: How long a TCP listener closed with a farewell keeps its port and
+#: answers every new connection with the farewell: a worker launched for
+#: a sweep that finished before it connected then exits at once instead
+#: of retrying a coordinator that is gone.  A new listener on the same
+#: port in this process takes the port over immediately.
+FAREWELL_SECONDS = 5.0
+
+_FAREWELL_LOCK = threading.Lock()
+_FAREWELL_PORTS: Dict[int, "TcpListener"] = {}
+
+
 class TcpListener:
     """Accept side of the TCP transport."""
 
@@ -320,10 +363,21 @@ class TcpListener:
         self._io = _AsyncLoop.get()
         self._accept_q: "queue.Queue[TcpConnection]" = queue.Queue()
         self._closed = False
+        self._farewell: Optional[Dict[str, Any]] = None
+        self._lock = threading.Lock()
 
         def _on_client(reader, writer) -> None:
-            self._accept_q.put(TcpConnection(self._io, reader, writer))
+            conn = TcpConnection(self._io, reader, writer)
+            with self._lock:
+                if not self._closed:
+                    self._accept_q.put(conn)
+                    return
+            # Closed: accepted during the farewell window, or just
+            # before the server stopped listening.
+            dismiss(conn, self._farewell)
 
+        if port:
+            _release_farewell_port(port)
         try:
             self._server = self._io.run(
                 asyncio.start_server(_on_client, host, port)
@@ -345,11 +399,46 @@ class TcpListener:
         except queue.Empty:
             return None
 
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        self._io.loop.call_soon_threadsafe(self._server.close)
+    def close(self, farewell: Optional[Dict[str, Any]] = None) -> None:
+        """Stop accepting; see :func:`_dismiss_unaccepted` for
+        ``farewell``."""
+        with self._lock:
+            if self._closed:
+                return
+            self._closed = True
+            self._farewell = farewell
+        if farewell is None:
+            self._io.loop.call_soon_threadsafe(self._server.close)
+        else:
+            with _FAREWELL_LOCK:
+                _FAREWELL_PORTS[self.port] = self
+            self._io.loop.call_soon_threadsafe(
+                self._io.loop.call_later, FAREWELL_SECONDS, self._release
+            )
+        _dismiss_unaccepted(self._accept_q, farewell)
+
+    @property
+    def port(self) -> int:
+        return int(self.address.rsplit(":", 1)[1])
+
+    def _release(self) -> None:
+        """End the farewell window: free the port (loop thread)."""
+        with _FAREWELL_LOCK:
+            if _FAREWELL_PORTS.get(self.port) is self:
+                del _FAREWELL_PORTS[self.port]
+        self._server.close()
+
+
+def _release_farewell_port(port: int) -> None:
+    """Free ``port`` if a farewell window in this process still holds it."""
+    with _FAREWELL_LOCK:
+        listener = _FAREWELL_PORTS.get(port)
+    if listener is not None:
+
+        async def _release() -> None:
+            listener._release()
+
+        listener._io.run(_release())
 
 
 def _parse_host_port(rest: str) -> Tuple[str, int]:
@@ -416,5 +505,6 @@ __all__ = [
     "TcpConnection",
     "TcpListener",
     "connect",
+    "dismiss",
     "listen",
 ]

@@ -38,10 +38,6 @@ and base registration is content-checked (see ``docs/cluster.md``).
 
 from __future__ import annotations
 
-from typing import Any, Dict
-
-from repro.sweep.spec import RunSpec
-
 MSG_REGISTER = "register"
 MSG_WELCOME = "welcome"
 MSG_LEASE = "lease"
@@ -54,28 +50,6 @@ MSG_RESULT = "result"
 MSG_HEARTBEAT = "heartbeat"
 MSG_SHUTDOWN = "shutdown"
 MSG_GOODBYE = "goodbye"
-
-
-def spec_to_data(spec: RunSpec) -> Dict[str, Any]:
-    """Serialize a spec for the wire (inverse of :func:`spec_from_data`)."""
-    return {
-        "kind": spec.kind,
-        "params": dict(spec.params),
-        "seed": spec.seed,
-        "metrics": list(spec.metrics),
-        "tags": dict(spec.tags),
-    }
-
-
-def spec_from_data(data: Dict[str, Any]) -> RunSpec:
-    """Rebuild a spec from its wire form."""
-    return RunSpec(
-        kind=data["kind"],
-        params=data["params"],
-        seed=data["seed"],
-        metrics=tuple(data["metrics"]),
-        tags=data.get("tags", {}),
-    )
 
 
 __all__ = [
@@ -91,6 +65,4 @@ __all__ = [
     "MSG_SPEC_BASE",
     "MSG_STARTED",
     "MSG_WELCOME",
-    "spec_from_data",
-    "spec_to_data",
 ]

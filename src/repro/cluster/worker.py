@@ -103,12 +103,11 @@ class ClusterWorker:
         self._running = False
         self._killed = False
         self._lock = threading.Lock()
-        #: Wakes executor threads the moment a lease lands (fast lane);
-        #: shares ``_lock`` so intake and revoke stay serialized.
+        #: Wakes executor threads the moment a lease lands; shares
+        #: ``_lock`` so intake and revoke stay serialized.
         self._lease_cv = threading.Condition(self._lock)
         #: Receiver-side base-spec table for delta-encoded leases.
         self._decoder = wire.SpecDecoder()
-        self._fast = wire.dispatch_fast_default()
         self._leases: deque = deque()  # granted, not yet picked up
         self._active: Dict[str, _ActiveRun] = {}
         self._outbox: deque = deque()  # messages awaiting a live conn
@@ -140,15 +139,21 @@ class ClusterWorker:
                 time.sleep(delay)
                 delay = min(delay * 2, 2.0)
                 continue
-            conn.send(
-                {
-                    "type": protocol.MSG_REGISTER,
-                    "name": self.name,
-                    "capacity": self.capacity,
-                    "pid": os.getpid(),
-                    "mode": "pool" if self.isolate else "inline",
-                }
-            )
+            try:
+                conn.send(
+                    {
+                        "type": protocol.MSG_REGISTER,
+                        "name": self.name,
+                        "capacity": self.capacity,
+                        "pid": os.getpid(),
+                        "mode": "pool" if self.isolate else "inline",
+                    }
+                )
+            except comm.ClusterError:
+                # Closed at once — e.g. by a coordinator that already
+                # shut down.  The main loop's recv still drains what it
+                # sent first (its shutdown), then reports the close.
+                pass
             self._conn = conn
             return True
         return False
@@ -219,9 +224,9 @@ class ClusterWorker:
         elif mtype == protocol.MSG_SHUTDOWN:
             self._running = False
 
-    def _take_lease(self, wait: float = 0.0) -> Optional[Dict[str, Any]]:
+    def _take_lease(self, wait: float) -> Optional[Dict[str, Any]]:
         with self._lease_cv:
-            if not self._leases and wait > 0:
+            if not self._leases:
                 self._lease_cv.wait(wait)
             if self._leases:
                 return self._leases.popleft()
@@ -355,12 +360,10 @@ class ClusterWorker:
         state: Dict[str, Any] = {"proc": None, "pipe": None}
         try:
             while self._running:
-                # Fast lane: block on the lease condvar (wakes the
-                # instant a grant lands) instead of the legacy 10ms poll.
-                lease = self._take_lease(wait=0.05 if self._fast else 0.0)
+                # Block on the lease condvar: it wakes the instant a
+                # grant lands.
+                lease = self._take_lease(wait=0.05)
                 if lease is None:
-                    if not self._fast:
-                        time.sleep(0.01)
                     continue
                 lease_id = lease["lease"]
                 key = lease["key"]
@@ -488,22 +491,17 @@ class ClusterWorker:
                 if self._conn is None:
                     if not self._connect():
                         break
-                if self._fast:
-                    # Short poll while anything is in flight (results
-                    # must flush promptly for tiny cells), long poll
-                    # when idle so an idle worker stays cheap.
-                    with self._lock:
-                        busy = bool(
-                            self._active or self._leases or self._outbox
-                        )
-                    recv_timeout = 0.002 if busy else 0.02
-                else:
-                    recv_timeout = 0.02
+                # Short poll while anything is in flight (results must
+                # flush promptly for tiny cells), long poll when idle so
+                # an idle worker stays cheap.
+                with self._lock:
+                    busy = bool(self._active or self._leases or self._outbox)
+                recv_timeout = 0.002 if busy else 0.02
                 try:
                     message = self._conn.recv(timeout=recv_timeout)
                     while message is not None:
                         self._handle(message)
-                        if not self._running or not self._fast:
+                        if not self._running:
                             break
                         message = self._conn.recv(timeout=0)
                 except comm.ConnectionClosed:
@@ -512,7 +510,10 @@ class ClusterWorker:
                 if not self._running:
                     break
                 if not self._flush():
-                    self._drop_conn()
+                    # The connection is gone, but what the coordinator
+                    # sent before closing it (a shutdown, above all) is
+                    # still buffered: the next recv drains it and only
+                    # then reports the close, which drops the conn.
                     continue
                 self._heartbeat()
                 self._apply_chaos()

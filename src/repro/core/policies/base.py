@@ -114,24 +114,6 @@ class SchedulerPolicy(abc.ABC):
         """
         return self.choose_place(task, thief_core)
 
-    def batched_query(self, task: Task) -> Optional[tuple]:
-        """Lockstep batching handle for ``task``'s placement, or ``None``.
-
-        When the placement decision is a pure function of the task
-        type's PTT row (plus the shared backlog tie-break), a policy may
-        declare it as ``(scan_kind, type_name)`` — ``scan_kind`` one of
-        ``"cost"`` / ``"perf"`` / ``"perf_w1"`` — and the lockstep batch
-        driver (:mod:`repro.core.lockstep`) answers it together with the
-        other replicates' identical queries in one runs-axis numpy pass,
-        bit-identical to the scalar search.  ``None`` (the default)
-        means "answer synchronously via :meth:`choose_place` /
-        :meth:`place_after_steal`".  A non-``None`` answer must be valid
-        at *both* decision sites; that holds here because
-        :meth:`place_after_steal` delegates to :meth:`choose_place`, and
-        subclasses that override either must keep the contract.
-        """
-        return None
-
     def allow_steal(self, task: Task) -> bool:
         """Whether ``task`` may be stolen from a WSQ.
 

@@ -72,29 +72,6 @@ class PerformanceTraceTable:
         #: exactly in sync by update_slot / mark_core_*.
         self._values_list: list = [0.0] * len(machine.places)
 
-    def bind_storage(self, values: np.ndarray, samples: np.ndarray) -> None:
-        """Rebind the table's backing arrays to externally owned storage.
-
-        The batched replicate engine stacks N runs' tables into
-        ``(runs x slots)`` matrices and hands each run's table its row
-        *views* through this hook, so scalar updates land directly in the
-        stack.  The arrays must match the table's shape; the Python-list
-        read mirror is re-synced from the new values.
-        """
-        if values.shape != self._values.shape:
-            raise ConfigurationError(
-                f"values shape {values.shape} != table shape "
-                f"{self._values.shape}"
-            )
-        if samples.shape != self._samples.shape:
-            raise ConfigurationError(
-                f"samples shape {samples.shape} != table shape "
-                f"{self._samples.shape}"
-            )
-        self._values = values
-        self._samples = samples
-        self._values_list = values.tolist()
-
     def _slot(self, place: ExecutionPlace) -> int:
         try:
             return self._index[place]

@@ -18,17 +18,11 @@ old rate and the completion is re-scheduled under the new one.  Task
 durations therefore respond to interference exactly when it happens, which
 is what the runtime's Performance Trace Table observes.
 
-Batched replicate execution stacks these rate inputs as ``(runs x cores)``
-matrices (:class:`repro.core.batched.BatchedRates`): each replicate's
-:class:`~repro.core.batched.BatchedSpeedModel` applies its scenario's DVFS /
-co-runner / fault transitions as masked row updates, so cross-run readers see
-the whole batch without copying.  *Re-timing itself stays per run even under
-the lockstep co-advance driver* (:mod:`repro.core.lockstep`): a transition
-re-times only the work in flight at that replicate's own simulated time, and
-replicates diverge in which work is in flight and how much of it remains —
-there is no cross-run-homogeneous retime to batch.  What the driver batches
-instead is what *is* homogeneous across runs: placement scans and PTT folds
-over the stacked matrices.
+Batched replicate execution (:mod:`repro.core.batched`) gives every
+replicate its own speed model: a transition re-times only the work in flight
+at that replicate's own simulated time, and replicates diverge in which work
+is in flight and how much of it remains, so there is no cross-run retime to
+share.
 """
 
 from __future__ import annotations
@@ -49,11 +43,7 @@ _EPS = 1e-9
 
 #: The per-core rate-input tables a transition can write, by the ``kind``
 #: tag flowing through :meth:`SpeedModel._transition_cores` (and into
-#: :class:`~repro.trace.events.SpeedEvent`).  Mirrors of the model's
-#: dynamic state — e.g. the batched replicate engine's stacked rate
-#: matrices (:class:`repro.core.batched.BatchedRates`) — key their
-#: per-kind storage off this tuple, so a new rate input added here is a
-#: loud reminder to extend them rather than a silently unmirrored table.
+#: :class:`~repro.trace.events.SpeedEvent`); anything else is rejected.
 TRANSITION_KINDS = ("freq_scale", "cpu_share", "fault_scale")
 
 

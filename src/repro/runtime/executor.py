@@ -207,12 +207,8 @@ class SimulatedRuntime:
         self._started = False
         self._start_time = 0.0
         self._root_rr = 0
-        #: Lockstep batch-driver state (see :meth:`arm_lockstep`); None
-        #: keeps every decision and commit on the scalar path.
-        self._lockstep_run = None
         #: Lean-records mode: skip TaskRecord construction and collector
-        #: accounting (lockstep batches whose metric demands are record
-        #: free; see repro.sweep.registry.RECORD_FREE_METRICS).
+        #: accounting (see :meth:`set_lean_records`).
         self._lean_records = False
         #: Observers called with each TaskRecord as tasks commit.
         self.on_task_commit: List[Callable[[TaskRecord], None]] = []
@@ -289,26 +285,21 @@ class SimulatedRuntime:
                 self._worker(core), name=f"{self.name}-w{core}"
             )
 
-    def arm_lockstep(self, run_state, lean_records: bool = False) -> None:
-        """Attach a lockstep batch driver's per-run state.
+    def set_lean_records(self) -> None:
+        """Skip all per-task record keeping for this run.
 
-        ``run_state`` (a ``repro.core.lockstep`` run handle) intercepts
-        batchable placement decisions and PTT-fold commits: the worker
-        loops route them through ``run_state.decide`` /
-        ``run_state.decide_steal`` and :meth:`_finish_assembly` parks
-        fold-eligible commits on it, so the driver can answer whole
-        batches with one runs-axis numpy pass.  Must be called before
-        the workers start; the driver (not :meth:`run`) then advances
-        the event loop.  ``lean_records`` additionally skips all
-        per-task record keeping (only valid when the run's metric
-        demands never read it).
+        No TaskRecord construction, collector accounting or ready-time
+        bookkeeping — none of it influences the simulation, so only the
+        metrics that read records change.  Valid only when the run's
+        metric demands never read them (see
+        :data:`repro.sweep.registry.RECORD_FREE_METRICS`).  Must be called
+        before :meth:`start`.
         """
         if self._started:
             raise RuntimeStateError(
-                f"{self.name}: lockstep must be armed before start()"
+                f"{self.name}: lean records must be set before start()"
             )
-        self._lockstep_run = run_state
-        self._lean_records = bool(lean_records)
+        self._lean_records = True
 
     def run(self) -> RunResult:
         """Drive the simulation until the graph finishes; returns the result.
@@ -476,14 +467,6 @@ class SimulatedRuntime:
         )
         steal_integers = self._steal_rngs[core].integers if inline_steal else None
         allow_steal = scheduler.allow_steal
-        # Lockstep batch-driver hooks (None on the scalar path, where the
-        # decision sites below reduce to one is-None check each).  With
-        # decision parking off the driver never answers queries, so the
-        # sites revert to direct policy calls — the wrapper hop is pure
-        # overhead then.  (Fold parking reads self._lockstep_run itself.)
-        lockstep = self._lockstep_run
-        if lockstep is not None and not lockstep.decisions:
-            lockstep = None
         if self._lean_records:
             record_steal = _noop
             record_failed_scan = _noop
@@ -656,16 +639,7 @@ class SimulatedRuntime:
                     yield env.sleep(dispatch_overhead)
                 if phases is not None:
                     phases.push("policy-search")
-                if lockstep is None:
-                    place = scheduler.choose_place(task, core)
-                else:
-                    # A gate means the driver parked this decision to
-                    # answer it batched across runs; the yield suspends
-                    # exactly where the scalar search would have run and
-                    # resumes with the (bit-identical) place.
-                    place = lockstep.decide(task, core)
-                    if place.__class__ is Event:
-                        place = yield place
+                place = scheduler.choose_place(task, core)
                 if phases is not None:
                     phases.pop()
                 self._dispatch(task, place, core, stolen=False)
@@ -701,12 +675,7 @@ class SimulatedRuntime:
                     yield env.sleep(steal_overhead)
                 if phases is not None:
                     phases.push("policy-search")
-                if lockstep is None:
-                    place = scheduler.place_after_steal(stolen, core)
-                else:
-                    place = lockstep.decide_steal(stolen, core)
-                    if place.__class__ is Event:
-                        place = yield place
+                place = scheduler.place_after_steal(stolen, core)
                 if phases is not None:
                     phases.pop()
                 self._dispatch(stolen, place, core, stolen=True)
@@ -734,12 +703,7 @@ class SimulatedRuntime:
                     yield env.sleep(steal_overhead)
                 if phases is not None:
                     phases.push("policy-search")
-                if lockstep is None:
-                    place = scheduler.place_after_steal(verdict, core)
-                else:
-                    place = lockstep.decide_steal(verdict, core)
-                    if place.__class__ is Event:
-                        place = yield place
+                place = scheduler.place_after_steal(verdict, core)
                 if phases is not None:
                     phases.pop()
                 self._dispatch(verdict, place, core, stolen=True)
@@ -1061,28 +1025,7 @@ class SimulatedRuntime:
             )
             observed = max(observed, 1e-9)
         task = assembly.task
-        lockstep = self._lockstep_run
-        if lockstep is not None and lockstep.folds:
-            # Park the commit on the driver: the PTT fold happens there
-            # as one runs-axis vector op over every run that committed
-            # this round, then the driver calls _commit_tail — at the
-            # same sim time, with the same state, in the same order
-            # relative to this run's other events as the scalar path.
-            lockstep.park_commit(assembly, task, observed)
-            return
         self.scheduler.on_complete(task, assembly.place, observed)
-        self._commit_tail(assembly, task, observed)
-
-    def _commit_tail(
-        self, assembly: Assembly, task: Task, observed: float
-    ) -> None:
-        """Post-fold half of the commit: record, release, wake.
-
-        Split from :meth:`_finish_assembly` so the lockstep driver can
-        interpose the batched PTT fold between the two halves; on the
-        scalar path the pair runs back-to-back and is line-for-line the
-        previous single method.
-        """
         if not self._lean_records:
             md = task.metadata
             record = TaskRecord(

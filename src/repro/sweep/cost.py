@@ -116,9 +116,9 @@ class CostModel:
         A batched-replicate pseudo-spec is priced at the cell's *batched*
         per-replicate marginal (the :data:`BATCH_KEY_PREFIX` estimate)
         times the batch width; until a batch of that cell has been
-        observed, the members' scalar estimate stands in (an upper bound
-        under lockstep — construction sharing and vectorized passes make
-        the batched marginal cheaper).  Members share one cost key
+        observed, the members' scalar estimate stands in (an upper bound:
+        construction sharing and lean records make the batched marginal
+        cheaper).  Members share one cost key
         (features exclude the seed), so both estimates transfer across
         batch compositions.
         """
@@ -158,7 +158,7 @@ class CostModel:
         A batch observation is folded at its per-replicate *marginal*
         cost (``seconds / width``) under the cell's
         :data:`BATCH_KEY_PREFIX` key only — one wall-clock measurement
-        stays one model observation, and the lockstep discount never
+        stays one model observation, and the batching discount never
         leaks into the scalar estimate (which would underpredict future
         scalar runs of the same cell).  Scalar observations likewise
         never touch the batched key, and only scalar runs train the

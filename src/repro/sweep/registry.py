@@ -176,10 +176,10 @@ def _fault_scalar(key: str, default: float = 0):
 
 
 #: Metrics computed from RunResult scalars alone — no per-task records,
-#: no collector accounting.  When a batched cell demands only these, the
-#: lockstep driver runs its replicates in lean-records mode (the runtime
-#: skips TaskRecord construction and collector bookkeeping entirely; see
-#: repro.core.lockstep).  Extraction output is unaffected either way.
+#: no collector accounting.  When a batched cell demands only these, its
+#: replicates run in lean-records mode (the runtime skips TaskRecord
+#: construction and collector bookkeeping entirely; see
+#: repro.core.batched).  Extraction output is unaffected either way.
 RECORD_FREE_METRICS = frozenset(
     {"makespan", "tasks_completed", "throughput"}
 )

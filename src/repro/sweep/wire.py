@@ -30,22 +30,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 from repro.errors import ReproError
 from repro.sweep.spec import BATCH_KIND, RunSpec
-
-
-def dispatch_fast_default() -> bool:
-    """The dispatch fast lane's default: on unless ``REPRO_DISPATCH_FAST=0``.
-
-    One knob for every dispatch path (cluster coordinator and worker,
-    local pool): ``0`` restores the pre-fast-lane wire format and
-    polling cadence for apples-to-apples benchmarking.
-    """
-    return os.environ.get("REPRO_DISPATCH_FAST", "1") != "0"
 
 
 class SpecDeltaError(ReproError):
@@ -117,6 +106,28 @@ def wire_id(spec: RunSpec) -> str:
     return digest
 
 
+def _differs(a: Any, b: Any) -> bool:
+    """Whether two JSON values differ on the wire.
+
+    Python equality is too loose for a wire diff: ``False == 0 == 0.0``
+    and ``-0.0 == 0.0``, yet each serializes (and so hashes into
+    ``spec.key()``) differently.
+    """
+    if a is b:
+        return False
+    if type(a) is not type(b):
+        return True
+    if isinstance(a, dict):
+        return a.keys() != b.keys() or any(
+            _differs(value, b[key]) for key, value in a.items()
+        )
+    if isinstance(a, (list, tuple)):
+        return len(a) != len(b) or any(map(_differs, a, b))
+    if isinstance(a, float):
+        return repr(a) != repr(b)
+    return a != b
+
+
 def encode_delta(base: RunSpec, spec: RunSpec) -> Dict[str, Any]:
     """Minimal diff turning ``base`` into ``spec`` (shallow on params/tags).
 
@@ -133,7 +144,7 @@ def encode_delta(base: RunSpec, spec: RunSpec) -> Dict[str, Any]:
     changed = {
         k: v
         for k, v in spec.params.items()
-        if k not in base.params or base.params[k] != v
+        if k not in base.params or _differs(base.params[k], v)
     }
     dropped = sorted(k for k in base.params if k not in spec.params)
     if changed:
@@ -143,7 +154,7 @@ def encode_delta(base: RunSpec, spec: RunSpec) -> Dict[str, Any]:
     tag_changed = {
         k: v
         for k, v in spec.tags.items()
-        if k not in base.tags or base.tags[k] != v
+        if k not in base.tags or _differs(base.tags[k], v)
     }
     tag_dropped = sorted(k for k in base.tags if k not in spec.tags)
     if tag_changed:
@@ -345,7 +356,6 @@ __all__ = [
     "SpecDeltaError",
     "SpecInterner",
     "apply_delta",
-    "dispatch_fast_default",
     "encode_delta",
     "spec_from_wire",
     "spec_to_wire",

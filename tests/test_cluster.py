@@ -138,6 +138,30 @@ class TestComm:
         listener.close()
 
 
+    @pytest.mark.parametrize(
+        "address", ["inproc://t-farewell", "tcp://127.0.0.1:0"]
+    )
+    def test_close_with_farewell_dismisses_unaccepted(self, address):
+        listener = comm.listen(address)
+        early = comm.connect(listener.address, timeout=5.0)
+        deadline = time.monotonic() + 5.0
+        while listener._accept_q.empty() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        listener.close(farewell={"type": "bye"})
+        assert early.recv(timeout=5.0) == {"type": "bye"}
+        with pytest.raises(comm.ConnectionClosed):
+            early.recv(timeout=5.0)
+
+    def test_tcp_farewell_window_answers_late_connections(self):
+        listener = comm.listen("tcp://127.0.0.1:0")
+        listener.close(farewell={"type": "bye"})
+        late = comm.connect(listener.address, timeout=5.0)
+        assert late.recv(timeout=5.0) == {"type": "bye"}
+        # A new listener in this process takes the port over at once.
+        again = comm.listen(listener.address)
+        again.close()
+
+
 class TestCoordinator:
     """Direct coordinator/worker tests, no sweep runner involved."""
 
@@ -289,6 +313,25 @@ class TestCoordinator:
                 second.close()
         finally:
             worker.stop()
+
+    def test_close_tells_unregistered_connections_to_shut_down(self):
+        coord = self._coordinator("t-close-pending")
+        pending = comm.connect(coord.address)
+        coord._pump(time.monotonic())  # accepted, never registered
+        assert coord._pending_conns
+        unaccepted = comm.connect(coord.address)
+        coord.close()
+        for conn in (pending, unaccepted):
+            assert conn.recv(timeout=5.0) == {"type": "shutdown"}
+
+    def test_worker_joining_after_tcp_close_exits(self):
+        coord = ClusterCoordinator("tcp://127.0.0.1:0")
+        coord.close()
+        worker = start_worker_thread(
+            coord.address, name="late", reconnect_timeout=30.0
+        )
+        worker._thread.join(timeout=10.0)
+        assert not worker._thread.is_alive()
 
     def test_closed_coordinator_rejects_execute(self):
         coord = self._coordinator("t-closed-exec")

@@ -1,10 +1,10 @@
-"""Tests for the dispatch fast lane (PR 10).
+"""Tests for the dispatch fast lane.
 
 Covers the delta codec (:mod:`repro.sweep.wire`) with Hypothesis
 round-trip and fuzz properties, RunSpec key memoization, batched
 leasing + spec-aware placement in the cluster coordinator, the framed
 TCP protocol's malformed-input behavior (typed error, never a hang),
-and fast-vs-legacy bit-identity through the real sweep engine.
+and fast-lane-vs-inline bit-identity through the real sweep engine.
 """
 
 from __future__ import annotations
@@ -159,6 +159,18 @@ class TestDeltaCodec:
         rebuilt = decoder.decode({"base": enc.base_id, "delta": enc.delta})
         assert rebuilt == rep and rebuilt.key() == rep.key()
 
+    @pytest.mark.parametrize("before,after", [
+        (False, 0), (0, 0.0), (0.0, -0.0), ([0], [False]),
+        ({"x": 1}, {"x": True}),
+    ])
+    def test_equal_but_differently_serialized_values_ship(self, before,
+                                                          after):
+        # Python calls these equal; their wire forms (and keys) differ.
+        base = _mk("single", {"v": before}, 0, ["m"], {})
+        spec = _mk("single", {"v": after}, 0, ["m"], {})
+        rebuilt = wire.apply_delta(base, wire.encode_delta(base, spec))
+        assert rebuilt.key() == spec.key()
+
     def test_unknown_base_is_typed_error(self):
         decoder = wire.SpecDecoder()
         with pytest.raises(wire.SpecDeltaError):
@@ -288,7 +300,7 @@ class TestBatchedLeasing:
     def test_batched_grants_save_roundtrips(self):
         tele = Telemetry(enabled=True)
         coord = ClusterCoordinator(
-            "inproc://t-batch-grant", telemetry=tele, dispatch_fast=True
+            "inproc://t-batch-grant", telemetry=tele
         )
         worker = start_worker_thread(
             coord.address, name="w0", capacity=2
@@ -308,26 +320,10 @@ class TestBatchedLeasing:
         base_frames = _metric(tele, "dispatch_frames_total")
         assert base_frames > 0
 
-    def test_legacy_lane_uses_single_leases(self):
-        tele = Telemetry(enabled=True)
-        coord = ClusterCoordinator(
-            "inproc://t-legacy-grant", telemetry=tele, dispatch_fast=False
-        )
-        worker = start_worker_thread(coord.address, name="w0", capacity=1)
-        specs = [_spec(v) for v in range(4)]
-        try:
-            report = coord.execute([(s.key(), s, 1) for s in specs])
-        finally:
-            coord.close()
-            worker.stop()
-        assert all(o.status == "ok" for o in report.outcomes.values())
-        assert _metric(tele, "dispatch_roundtrips_saved_total") == 0
-        assert _metric(tele, "dispatch_deltas_total") == 0
-
     def test_batched_lease_revoke_still_two_phase(self):
         """A lease granted in a batch is still individually revocable."""
         coord = ClusterCoordinator(
-            "inproc://t-batch-revoke", dispatch_fast=True
+            "inproc://t-batch-revoke"
         )
         sink = _FrameSink()
         worker = _Remote(name="w0", conn=sink, capacity=2)
@@ -368,7 +364,7 @@ class TestBatchedLeasing:
         """Longest-first queue + fastest-first ranking = longest cell on
         the fastest host."""
         coord = ClusterCoordinator(
-            "inproc://t-placement", dispatch_fast=True, prefetch=1
+            "inproc://t-placement", prefetch=1
         )
         slow, fast = _FrameSink(), _FrameSink()
         w_slow = _Remote(name="slow", conn=slow, capacity=1,
@@ -449,10 +445,9 @@ class TestDecodeFailureRetry:
             coord.close()
 
 
-# -- engine bit-identity: fast vs legacy across every path -------------
+# -- engine bit-identity: fast lane vs inline across every path --------
 class TestEngineBitIdentity:
-    def _run(self, monkeypatch, fast: bool, tmp_path, **kw):
-        monkeypatch.setenv("REPRO_DISPATCH_FAST", "1" if fast else "0")
+    def _run(self, **kw):
         runner = SweepRunner(
             use_cache=False, progress=False, **kw
         )
@@ -462,24 +457,18 @@ class TestEngineBitIdentity:
         finally:
             runner.close()
 
-    def test_pool_fast_vs_legacy_bit_identical(self, monkeypatch, tmp_path):
-        fast = self._run(monkeypatch, True, tmp_path, jobs=2)
-        legacy = self._run(monkeypatch, False, tmp_path, jobs=2)
-        inline = self._run(monkeypatch, True, tmp_path, jobs=1)
-        assert fast == legacy == inline
+    def test_pool_fast_vs_inline_bit_identical(self):
+        fast = self._run(jobs=2)
+        inline = self._run(jobs=1)
+        assert fast == inline
         assert [row["value"] for row in fast] == [float(v) for v in range(10)]
 
-    def test_cluster_fast_vs_legacy_bit_identical(self, monkeypatch,
-                                                  tmp_path):
-        fast = self._run(monkeypatch, True, tmp_path, jobs=2,
-                         cluster="inproc")
-        legacy = self._run(monkeypatch, False, tmp_path, jobs=2,
-                           cluster="inproc")
-        inline = self._run(monkeypatch, True, tmp_path, jobs=1)
-        assert fast == legacy == inline
+    def test_cluster_fast_vs_inline_bit_identical(self):
+        fast = self._run(jobs=2, cluster="inproc")
+        inline = self._run(jobs=1)
+        assert fast == inline
 
-    def test_pool_ships_deltas(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DISPATCH_FAST", "1")
+    def test_pool_ships_deltas(self):
         tele = Telemetry(enabled=True)
         runner = SweepRunner(
             jobs=2, use_cache=False, progress=False, telemetry=tele

@@ -1,11 +1,6 @@
 """Tests for the Performance Trace Table (§4.1.1)."""
 
-import random
-
-import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.core.ptt import PerformanceTraceTable, PttStore
 from repro.errors import ConfigurationError
@@ -125,74 +120,3 @@ class TestPttStore:
         place = ExecutionPlace(0, 1)
         table.update(place, 10.0)
         assert table.update(place, 20.0) == pytest.approx(14.0)
-
-
-class TestRunsAxis:
-    """Runs-axis round-trips over the stacked batch store.
-
-    The lockstep driver reads placement inputs with
-    ``predict_all_runs`` and folds grouped commits with
-    ``update_slot_runs(rows=...)`` — a *subset* of runs per call.  Both
-    must agree exactly with per-run scalar table operations on the same
-    data, leaving unselected rows untouched.
-    """
-
-    @given(
-        runs=st.integers(min_value=1, max_value=5),
-        steps=st.lists(
-            st.tuples(
-                st.lists(
-                    st.integers(min_value=0, max_value=4),
-                    min_size=1, max_size=5, unique=True,
-                ),
-                st.integers(min_value=0, max_value=10**6),
-            ),
-            max_size=12,
-        ),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_rows_subset_folds_equal_scalar_loop(self, runs, steps):
-        from repro.core.batched import BatchedPttStore
-
-        machine = jetson_tx2()
-        n_slots = len(machine.places)
-        batched = BatchedPttStore(machine, runs)
-        shadow = BatchedPttStore(machine, runs)
-        shadow_tables = [
-            shadow.store_for(run).table("k") for run in range(runs)
-        ]
-        for raw_rows, salt in steps:
-            rows = sorted({r % runs for r in raw_rows})
-            draw = random.Random(salt)
-            slots = [draw.randrange(n_slots) for _ in rows]
-            observed = [draw.uniform(0.0, 1e3) for _ in rows]
-            folded = batched.update_slot_runs(
-                "k", slots, observed, rows=rows
-            )
-            expected = [
-                shadow_tables[run].update_slot(slot, obs)
-                for run, slot, obs in zip(rows, slots, observed)
-            ]
-            assert folded.tolist() == expected
-        np.testing.assert_array_equal(
-            batched.predict_all_runs("k"), shadow.predict_all_runs("k")
-        )
-        np.testing.assert_array_equal(
-            batched.samples_all_runs("k"), shadow.samples_all_runs("k")
-        )
-        # Per-run scalar views read back exactly what the runs-axis
-        # writer folded (shared storage, no copies).
-        for run in range(runs):
-            view = batched.store_for(run).table("k")
-            assert view._values_list == shadow_tables[run]._values_list
-
-    def test_rows_validation(self):
-        from repro.core.batched import BatchedPttStore
-
-        store = BatchedPttStore(jetson_tx2(), 3)
-        with pytest.raises(ConfigurationError):
-            store.update_slot_runs("k", [0], [1.0], rows=[3])
-        with pytest.raises(ConfigurationError):
-            store.update_slot_runs("k", [0], [1.0], rows=[-1])
-        with pytest.raises(ConfigurationError):
-            store.update_slot_runs("k", [0, 1], [1.0], rows=[0])
