@@ -4,8 +4,21 @@ Usage::
 
     pytest benchmarks/bench_micro.py --benchmark-only \
         --benchmark-json=fresh.json
-    python benchmarks/compare_baseline.py fresh.json [baseline.json] \
+    python benchmarks/compare_baseline.py fresh.json [more-fresh.json ...] \
+        [--baseline baseline.json] [--against-run base.json ...] \
         [--json comparison.json]
+
+Several fresh files (sessions of the same tree) are merged by taking
+each benchmark's smallest ``min``.
+
+``--against-run`` (repeatable) takes the reference numbers from
+pytest-benchmark runs of another tree — in CI, the merge-base, run on
+the same host and interleaved with the fresh sessions — instead of the
+committed baseline's absolute numbers.  The gated list, the
+``max_regression`` bound and the relative gates still come from the
+baseline file, so this compares like with like and loosens nothing.
+A benchmark the reference run lacks (new in this tree) is reported and
+not gated.
 
 ``--json`` additionally writes the full comparison (per-benchmark ratios
 and gate verdicts) as machine-readable JSON — CI uploads it as a
@@ -31,34 +44,53 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Optional
+from typing import Dict, Optional, Sequence
 
 DEFAULT_BASELINE = Path(__file__).parent / "baseline_micro.json"
 
 
+def load_runs(paths: Sequence[str]) -> Dict[str, dict]:
+    """Benchmark name -> stats, with each ``min`` the least over ``paths``
+    (pytest-benchmark ``--benchmark-json`` files)."""
+    merged: Dict[str, dict] = {}
+    for path in paths:
+        with open(path, "r", encoding="utf-8") as fh:
+            for bench in json.load(fh)["benchmarks"]:
+                name, stats = bench["name"], bench["stats"]
+                if name not in merged or stats["min"] < merged[name]["min"]:
+                    merged[name] = stats
+    return merged
+
+
 def compare(
-    fresh_path: str,
+    fresh_paths: Sequence[str],
     baseline_path: str = str(DEFAULT_BASELINE),
     json_out: Optional[str] = None,
+    against_run: Sequence[str] = (),
 ) -> int:
     """Return a process exit code: 0 when no gated benchmark regressed."""
-    with open(fresh_path, "r", encoding="utf-8") as fh:
-        fresh = {
-            b["name"]: b["stats"] for b in json.load(fh)["benchmarks"]
-        }
+    fresh = load_runs(fresh_paths)
     with open(baseline_path, "r", encoding="utf-8") as fh:
         baseline = json.load(fh)
 
     threshold = baseline["max_regression"]
     gated = set(baseline["gated"])
+    if against_run:
+        reference = load_runs(against_run)
+    else:
+        reference = baseline["benchmarks"]
     failures = []
     rows = []
-    for name, base_stats in sorted(baseline["benchmarks"].items()):
+    for name in sorted(baseline["benchmarks"]):
         if name not in fresh:
             print(f"MISSING  {name}: not in fresh results")
             if name in gated:
                 failures.append(name)
             continue
+        if name not in reference:
+            print(f"NEW      {name}: not in the reference run, not compared")
+            continue
+        base_stats = reference[name]
         ratio = fresh[name]["min"] / base_stats["min"]
         status = "ok"
         if ratio > threshold:
@@ -112,6 +144,7 @@ def compare(
     if json_out:
         payload = {
             "baseline": str(baseline_path),
+            "against_run": list(against_run),
             "max_regression": threshold,
             "comparisons": rows,
             "failures": failures,
@@ -130,14 +163,29 @@ def compare(
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("fresh", help="fresh --benchmark-json output")
-    parser.add_argument("baseline", nargs="?", default=str(DEFAULT_BASELINE))
+    parser.add_argument(
+        "fresh", nargs="+",
+        help="fresh --benchmark-json output(s); min per benchmark",
+    )
+    parser.add_argument(
+        "--baseline", default=str(DEFAULT_BASELINE),
+        help="gate file: gated list, bound, relative gates and (without "
+             "--against-run) the reference numbers",
+    )
+    parser.add_argument(
+        "--against-run", action="append", default=[], metavar="BASE.json",
+        help="take reference numbers from this --benchmark-json run "
+             "instead of the baseline (repeatable; min per benchmark)",
+    )
     parser.add_argument(
         "--json", dest="json_out", default=None, metavar="PATH",
         help="also write the comparison as JSON (CI artifact)",
     )
     args = parser.parse_args(argv)
-    return compare(args.fresh, args.baseline, json_out=args.json_out)
+    return compare(
+        args.fresh, args.baseline, json_out=args.json_out,
+        against_run=args.against_run,
+    )
 
 
 if __name__ == "__main__":

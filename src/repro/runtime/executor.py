@@ -10,8 +10,9 @@ one scheduling policy.  Worker processes (one per core) run the XiTAO loop:
    the AQs of all member cores;
 3. else steal the oldest *stealable* task from a random victim's WSQ and
    re-run the placement at the thief's core (Figure 3, steps 3-5);
-4. else sleep until new work is signalled (queue pushes and AQ inserts
-   wake idle workers, so no polling is needed).
+4. else back off and retry while some queue still holds work, or sleep
+   until new work is signalled (queue pushes and AQ inserts wake idle
+   workers, so no polling is needed).
 
 Task commit (Figure 3, step 8) happens in the work-completion callback: the
 leader-observed elapsed time trains the policy's model, dependents are
@@ -158,13 +159,6 @@ class SimulatedRuntime:
         self._steal_rngs = worker_rngs[:n]
         self._noise_rng = worker_rngs[n]
         self._wake_rng = worker_rngs[n + 1]
-        #: Pre-drawn victim slots per thief (single-probe stealing only).
-        #: ``Generator.integers(lo, hi, size=k)`` consumes the bit stream
-        #: exactly like k scalar draws, so buffering is stream-identical
-        #: to drawing one victim per attempt — it just amortizes the
-        #: numpy call overhead across 64 steal attempts.
-        self._steal_buf: List = [None] * n
-        self._steal_idx: List[int] = [0] * n
         self._num_cores = n
         self._steal_tries_eff = min(self.config.steal_tries, n - 1) if n > 1 else 0
 
@@ -182,14 +176,12 @@ class SimulatedRuntime:
         #: push/pop/steal/reclaim sites so the steal-backoff decision is
         #: O(1) instead of scanning every queue.
         self._wsq_total = 0
-        # Spin-tick driver state (single-probe steal fast path only; see
-        # _worker_loop).  A worker's steal-backoff wake is scheduled as a
-        # plain callback event — the "spin tick" — instead of a generator
-        # resume; these maps let any tick locate every spinner's RNG
-        # buffer and pending tick so provably-missing spins can be
-        # fast-forwarded without touching the event loop (_spin_collapse).
-        self._spin_rng: List[Optional[list]] = [None] * n
-        self._spin_integers: List[Optional[Callable]] = [None] * n
+        # Tick-driver state (see _worker_loop): these let any spin tick
+        # find every spinner's RNG buffer and pending tick, so provable
+        # misses can be fast-forwarded (_spin_collapse).  Victim slots are
+        # pre-drawn per thief as [slots, next index]; they live here so a
+        # worker respawned after a crash continues the same stream.
+        self._spin_rng: List[list] = [[None, 64] for _ in range(n)]
         self._spin_push: List[Optional[Callable]] = [None] * n
         #: Heap sequence number of each in-flight spin tick, and the
         #: reverse map seq -> spinning core used to recognize tick heap
@@ -442,6 +434,7 @@ class SimulatedRuntime:
         aq = self.aqs[core]
         items = wsq._items
         tracing = self._tracing  # fixed at construction
+        tracer = self.tracer
         phases = self._phases
         scheduler = self.scheduler
         current_assembly = self._current_assembly
@@ -450,22 +443,14 @@ class SimulatedRuntime:
         steal_overhead = config.steal_overhead
         steal_backoff = config.steal_backoff
         worker_state = self._worker_state
-        # Single-probe steal fast path: with the default one-try scan and
-        # neither tracing nor faults armed, the whole probe inlines here
-        # with its RNG buffer held in loop locals (the generator frame
-        # keeps them alive across yields).  Draws, outcomes and counter
-        # updates are stream-identical to _try_steal — only the attribute
-        # traffic is gone.  Any other configuration falls back to the
-        # method.
         wsqs = self.wsqs
+        aqs = self.aqs
         n_cores = self._num_cores
-        inline_steal = (
-            self._steal_tries_eff == 1
-            and n_cores > 1
-            and not tracing
-            and not self._faults_enabled
-        )
-        steal_integers = self._steal_rngs[core].integers if inline_steal else None
+        tries = self._steal_tries_eff
+        # Collapse replays buffered single-probe draws, and a tracer must
+        # see every miss at its own time: both rule it out.
+        collapse = tries == 1 and not tracing
+        steal_rng = self._steal_rngs[core]
         allow_steal = scheduler.allow_steal
         if self._lean_records:
             record_steal = _noop
@@ -473,121 +458,157 @@ class SimulatedRuntime:
         else:
             record_steal = self.collector.record_steal
             record_failed_scan = self.collector.record_failed_scan
-        # Spin-tick driver (inline-steal configurations only): the
-        # steal-backoff wait is scheduled as a pooled callback event
-        # instead of a generator sleep.  The tick callback replays the
-        # loop-top decision sequence for an empty-handed worker in the
-        # steal state — same draws, same counters, same heap schedule —
-        # and only resumes this generator when the outcome needs it
-        # (stolen task, own work appeared, or queues drained to idle).
-        # Misses stay inside the callback, which costs a fraction of a
-        # generator resume, and consecutive provably-missing ticks are
-        # fast-forwarded wholesale by _spin_collapse.
-        sbuf = [None, 64]  # shared RNG buffer: [victim slots, next index]
-        spin_tick = None
-        barrier = None
-        if inline_steal:
-            queue = env._queue
-            qfree = queue._free
-            spin_ticks = self._spin_ticks
-            spin_tick_seq = self._spin_tick_seq
-            self._spin_rng[core] = sbuf
-            self._spin_integers[core] = steal_integers
-            # The barrier is yielded on while a tick is in flight.  It is
-            # never scheduled: the tick callback triggers it directly, so
-            # the resume runs inside the tick's own heap slot, exactly
-            # where the original sleep resume ran.
-            barrier = Event(env)
+        # Tick driver: an empty-handed worker's steal-backoff wait is a
+        # pooled callback event (the "spin tick") and its idle park is a
+        # pooled event whose callback is idle_tick.  Both callbacks replay
+        # the loop-top sequence for a worker in the steal state — same
+        # draws, same counters, same heap schedule — and only resume this
+        # generator when the outcome needs it (stolen task, own work
+        # appeared, or shutdown).  Misses stay inside the callbacks, which
+        # cost a fraction of a generator resume, and consecutive
+        # provably-missing ticks are fast-forwarded by _spin_collapse.
+        sbuf = self._spin_rng[core]
+        queue = env._queue
+        qfree = queue._free
+        spin_ticks = self._spin_ticks
+        spin_tick_seq = self._spin_tick_seq
+        idle_events = self._idle_events
+        # The barrier is yielded on while a tick or park is pending.  It
+        # is never scheduled: the callback triggers it directly, so the
+        # resume runs inside the waking event's own heap slot.
+        barrier = Event(env)
 
-            def wake(verdict):
-                callbacks = barrier.callbacks
-                barrier.callbacks = None
-                barrier._value = verdict
-                for callback in callbacks:
-                    callback(barrier)
+        def wake(verdict):
+            callbacks = barrier.callbacks
+            barrier.callbacks = None
+            barrier._value = verdict
+            for callback in callbacks:
+                callback(barrier)
 
-            def push_tick(at):
-                free = qfree
-                if free:
-                    tick = free.pop()
-                else:
-                    tick = Event(env)
-                    tick._pooled = True
-                tick.callbacks.append(spin_tick)
-                seq = queue._seq
-                spin_tick_seq[core] = seq
-                spin_ticks[seq] = core
-                queue.push(at, NORMAL, tick)
+        def push_tick(at):
+            if qfree:
+                tick = qfree.pop()
+            else:
+                tick = Event(env)
+                tick._pooled = True
+            tick.callbacks.append(spin_tick)
+            seq = queue._seq
+            spin_tick_seq[core] = seq
+            spin_ticks[seq] = core
+            queue.push(at, NORMAL, tick)
 
-            idle_events = self._idle_events
-
-            def register_idle():
-                # Driver-mode _register_idle: the parked event's callback
-                # is idle_tick, so a wake probes (and possibly re-parks)
-                # without resuming the generator.
-                free = qfree
-                if free:
-                    parked = free.pop()
-                else:
-                    parked = Event(env)
-                    parked._pooled = True
-                parked.callbacks.append(idle_tick)
-                idle_events[core] = parked
-
-            def probe_and_park():
-                # The shared tail of a wake: one victim probe, then a hit
-                # hand-off, the next backoff tick, or going idle — the
-                # exact loop-top sequence for an empty-handed worker
-                # already in the steal state.
+        def probe():
+            # One steal attempt over ``tries`` distinct random victims.
+            if tries == 1:
+                # Buffered single draws: integers(lo, hi, size=k) consumes
+                # the bit stream exactly like k scalar draws (and like
+                # choice(n-1, size=1)), amortizing the numpy call.
                 buf, idx = sbuf
                 if idx >= 64:
-                    buf = steal_integers(0, n_cores - 1, size=64)
+                    buf = steal_rng.integers(0, n_cores - 1, size=64)
                     sbuf[0] = buf
                     idx = 0
                 sbuf[1] = idx + 1
-                slot = buf[idx]
+                slots = (buf[idx],)
+            elif tries:
+                slots = steal_rng.choice(n_cores - 1, size=tries, replace=False)
+            else:
+                return None  # one core: nobody to steal from
+            for slot in slots:
                 victim = int(slot) + (1 if slot >= core else 0)
                 if wsqs[victim]._items:
-                    stolen = wsqs[victim].steal(allow_steal)
-                    if stolen is not None:
+                    task = wsqs[victim].steal(allow_steal)
+                    if task is not None:
                         self._wsq_total -= 1
                         record_steal()
-                        wake(stolen)
-                        return
-                record_failed_scan()
-                if self._wsq_total > 0:
-                    if self._any_stealable():
-                        push_tick(env._now + steal_backoff)
-                    else:
-                        self._spin_collapse(core, env._now + steal_backoff)
-                else:
-                    if worker_state[core] != "idle":
-                        worker_state[core] = "idle"
-                    register_idle()
+                        if tracing:
+                            now = env._now
+                            tracer.emit(
+                                StealEvent(
+                                    t=now, thief=core, victim=victim,
+                                    task_id=task.task_id, outcome="hit",
+                                )
+                            )
+                            tracer.emit(
+                                QueueSampleEvent(
+                                    t=now, core=victim,
+                                    wsq=len(wsqs[victim]),
+                                    aq=len(aqs[victim]), op="stolen",
+                                )
+                            )
+                        return task
+            record_failed_scan()
+            if tracing:
+                tracer.emit(
+                    StealEvent(
+                        t=env._now, thief=core, victim=-1,
+                        task_id=-1, outcome="miss",
+                    )
+                )
+            return None
 
-            def spin_tick(_tick):
-                # One steal-backoff wake.  Divert back to the generator
-                # the moment anything else needs doing, otherwise probe.
-                spin_ticks.pop(spin_tick_seq[core], None)
-                if self._shutdown or items or aq:
-                    wake(_SPIN_RECHECK)
-                    return
-                probe_and_park()
+        def park():
+            # After a miss: back off and retry while some queue still
+            # holds tasks (wrong victim, or only steal-exempt work), else
+            # sleep until new work is signalled.
+            if self._wsq_total > 0:
+                push_tick(env._now + steal_backoff)
+                return
+            if worker_state[core] != "idle":
+                worker_state[core] = "idle"
+                if tracing:
+                    tracer.emit(
+                        WorkerStateEvent(t=env._now, core=core, state="idle")
+                    )
+            if qfree:
+                parked = qfree.pop()
+            else:
+                parked = Event(env)
+                parked._pooled = True
+            parked.callbacks.append(idle_tick)
+            idle_events[core] = parked
 
-            def idle_tick(_parked):
-                # An idle wake (queue push / AQ insert / shutdown).  The
-                # loop top would transition idle -> steal and probe; a
-                # miss parks the worker again with no generator resume —
-                # which is what makes waking every idle worker on a
-                # stealable push cheap.
-                if self._shutdown or items or aq:
-                    wake(_SPIN_RECHECK)
-                    return
-                if worker_state[core] != "steal":
-                    worker_state[core] = "steal"
-                probe_and_park()
+        def probe_and_park():
+            stolen = probe()
+            if stolen is not None:
+                wake(stolen)
+            elif (
+                collapse and self._wsq_total > 0 and not self._any_stealable()
+            ):
+                self._spin_collapse(core, env._now + steal_backoff)
+            else:
+                park()
 
-            self._spin_push[core] = push_tick
+        def spin_tick(_tick):
+            # One steal-backoff wake.  Divert back to the generator the
+            # moment anything else needs doing, otherwise probe.
+            spin_ticks.pop(spin_tick_seq[core], None)
+            if self._shutdown or items or aq:
+                wake(_SPIN_RECHECK)
+                return
+            probe_and_park()
+
+        def idle_tick(_parked):
+            # An idle wake (queue push / AQ insert / shutdown).  The loop
+            # top would transition idle -> steal and probe; a miss parks
+            # the worker again with no generator resume, which is what
+            # makes waking every idle worker on a stealable push cheap.
+            if not barrier.callbacks:
+                # Queued before its worker crashed: the interrupt detached
+                # the worker from the barrier, so nobody is left to act.
+                return
+            if self._shutdown or items or aq:
+                wake(_SPIN_RECHECK)
+                return
+            if worker_state[core] != "steal":
+                worker_state[core] = "steal"
+                if tracing:
+                    tracer.emit(
+                        WorkerStateEvent(t=env._now, core=core, state="steal")
+                    )
+            probe_and_park()
+
+        self._spin_push[core] = push_tick
         while not self._shutdown:
             # A pending high-priority task in the local WSQ is dispatched
             # before joining further assemblies: its placement decision
@@ -600,12 +621,12 @@ class SimulatedRuntime:
                 if worker_state[core] != "exec":
                     worker_state[core] = "exec"
                     if tracing:
-                        self.tracer.emit(
+                        tracer.emit(
                             WorkerStateEvent(t=env.now, core=core, state="exec")
                         )
                 current_assembly[core] = assembly
                 if tracing:
-                    self.tracer.emit(
+                    tracer.emit(
                         QueueSampleEvent(
                             t=env.now, core=core,
                             wsq=len(wsq), aq=len(aq), op="aq_pop",
@@ -625,11 +646,11 @@ class SimulatedRuntime:
                 if worker_state[core] != "poll":
                     worker_state[core] = "poll"
                     if tracing:
-                        self.tracer.emit(
+                        tracer.emit(
                             WorkerStateEvent(t=env.now, core=core, state="poll")
                         )
                 if tracing:
-                    self.tracer.emit(
+                    tracer.emit(
                         QueueSampleEvent(
                             t=env.now, core=core,
                             wsq=len(wsq), aq=len(aq), op="pop",
@@ -648,131 +669,28 @@ class SimulatedRuntime:
             if worker_state[core] != "steal":
                 worker_state[core] = "steal"
                 if tracing:
-                    self.tracer.emit(
+                    tracer.emit(
                         WorkerStateEvent(t=env.now, core=core, state="steal")
                     )
-            if inline_steal:
-                buf, idx = sbuf
-                if idx >= 64:
-                    buf = steal_integers(0, n_cores - 1, size=64)
-                    sbuf[0] = buf
-                    idx = 0
-                sbuf[1] = idx + 1
-                slot = buf[idx]
-                victim = int(slot) + (1 if slot >= core else 0)
-                stolen = None
-                if wsqs[victim]._items:
-                    stolen = wsqs[victim].steal(allow_steal)
-                    if stolen is not None:
-                        self._wsq_total -= 1
-                        record_steal()
-                if stolen is None:
-                    record_failed_scan()
-            else:
-                stolen = self._try_steal(core)
-            if stolen is not None:
-                if steal_overhead > 0:
-                    yield env.sleep(steal_overhead)
-                if phases is not None:
-                    phases.push("policy-search")
-                place = scheduler.place_after_steal(stolen, core)
-                if phases is not None:
-                    phases.pop()
-                self._dispatch(stolen, place, core, stolen=True)
-                continue
-
-            if spin_tick is not None:
-                # Tick-driver mode: hand the whole empty-handed episode
-                # (backoff spins and idle parks alike) to the callbacks;
-                # the generator only resumes when the episode ends with a
-                # stolen task or with something to re-check.
-                if self._wsq_total > 0:
-                    push_tick(env._now + steal_backoff)
-                else:
-                    if worker_state[core] != "idle":
-                        worker_state[core] = "idle"
-                    register_idle()
-                verdict = yield barrier
+            stolen = probe()
+            if stolen is None:
+                # Hand the empty-handed episode (backoff spins and idle
+                # parks alike) to the callbacks; resume with a stolen
+                # task or with something to re-check.
+                park()
+                stolen = yield barrier
                 barrier.callbacks = []
                 barrier._value = PENDING
-                if verdict is _SPIN_RECHECK:
+                if stolen is _SPIN_RECHECK:
                     continue
-                # The driver stole a task: finish the hit exactly as the
-                # inline path above does.
-                if steal_overhead > 0:
-                    yield env.sleep(steal_overhead)
-                if phases is not None:
-                    phases.push("policy-search")
-                place = scheduler.place_after_steal(verdict, core)
-                if phases is not None:
-                    phases.pop()
-                self._dispatch(verdict, place, core, stolen=True)
-            elif self._wsq_total > 0:
-                # Some queue still holds tasks (wrong victim, or only
-                # steal-exempt work): back off briefly and retry, like a
-                # spinning work-stealing loop.
-                yield env.sleep(steal_backoff)
-            else:
-                if worker_state[core] != "idle":
-                    worker_state[core] = "idle"
-                    if tracing:
-                        self.tracer.emit(
-                            WorkerStateEvent(t=env.now, core=core, state="idle")
-                        )
-                yield self._register_idle(core)
-
-    def _try_steal(self, thief: int) -> Optional[Task]:
-        """Probe up to ``config.steal_tries`` random victims for a task."""
-        n = self._num_cores
-        if n <= 1:
-            return None
-        tries = self._steal_tries_eff
-        if tries == 1:
-            # Stream-identical to choice(n-1, size=1, replace=False)[0]
-            # for numpy's Generator, without the choice() setup cost —
-            # the common single-probe configuration (see _steal_buf).
-            buf = self._steal_buf[thief]
-            idx = self._steal_idx[thief]
-            if buf is None or idx >= 64:
-                buf = self._steal_rngs[thief].integers(0, n - 1, size=64)
-                self._steal_buf[thief] = buf
-                idx = 0
-            self._steal_idx[thief] = idx + 1
-            slots = (int(buf[idx]),)
-        else:
-            slots = self._steal_rngs[thief].choice(n - 1, size=tries, replace=False)
-        for slot in slots:
-            victim = int(slot) + (1 if slot >= thief else 0)
-            if not self.wsqs[victim]._items:
-                continue
-            task = self.wsqs[victim].steal(self.scheduler.allow_steal)
-            if task is not None:
-                self._wsq_total -= 1
-                self.collector.record_steal()
-                if self._tracing:
-                    self.tracer.emit(
-                        StealEvent(
-                            t=self.env.now, thief=thief, victim=victim,
-                            task_id=task.task_id, outcome="hit",
-                        )
-                    )
-                    self.tracer.emit(
-                        QueueSampleEvent(
-                            t=self.env.now, core=victim,
-                            wsq=len(self.wsqs[victim]),
-                            aq=len(self.aqs[victim]), op="stolen",
-                        )
-                    )
-                return task
-        self.collector.record_failed_scan()
-        if self._tracing:
-            self.tracer.emit(
-                StealEvent(
-                    t=self.env.now, thief=thief, victim=-1,
-                    task_id=-1, outcome="miss",
-                )
-            )
-        return None
+            if steal_overhead > 0:
+                yield env.sleep(steal_overhead)
+            if phases is not None:
+                phases.push("policy-search")
+            place = scheduler.place_after_steal(stolen, core)
+            if phases is not None:
+                phases.pop()
+            self._dispatch(stolen, place, core, stolen=True)
 
     def _any_stealable(self) -> bool:
         """True when some WSQ holds a task the policy lets thieves take.
@@ -794,14 +712,16 @@ class SimulatedRuntime:
     def _spin_collapse(self, core: int, phase: float) -> None:
         """Fast-forward steal-backoff spins that are provable misses.
 
-        Called from ``core``'s spin tick after a failed probe when no
-        queued task anywhere is stealable.  Until another event mutates
-        queue state, every backoff wake — this worker's and any other
-        spinner's — repeats the same guaranteed miss, whose only effects
-        are one victim draw from the spinner's own RNG stream and one
-        failed-scan count.  Those wakes are simulated here in a tight
-        loop and each affected spinner gets a single tick re-scheduled
-        at its first wake at or after the next real event:
+        Called from ``core``'s spin or idle tick after a failed probe
+        when no queued task anywhere is stealable, in single-try,
+        untraced runs only (see ``collapse`` in :meth:`_worker_loop`).
+        Until another event mutates queue state, every backoff wake —
+        this worker's and any other spinner's — repeats the same
+        guaranteed miss, whose only effects are one victim draw from the
+        spinner's own RNG stream and one failed-scan count.  Those wakes
+        are simulated here in a tight loop and each affected spinner gets
+        a single tick re-scheduled at its first wake at or after the next
+        real event:
 
         * draws advance each spinner's private buffered stream exactly
           as its ticks would (streams are independent, so interleaving
@@ -813,7 +733,9 @@ class SimulatedRuntime:
           left in place and ends the frozen window;
         * re-scheduled ticks are pushed in ascending (time, prior tick
           seq) order, reproducing the relative heap order the per-tick
-          schedule would have given ticks that land at equal times.
+          schedule would have given ticks that land at equal times;
+        * a crashed worker's tick is cancelled by :meth:`on_core_crashed`,
+          so no dead worker is ever drawn for.
         """
         env = self.env
         queue = env._queue
@@ -823,7 +745,7 @@ class SimulatedRuntime:
         backoff = self.config.steal_backoff
         ticks = self._spin_ticks
         rng = self._spin_rng
-        integers = self._spin_integers
+        steal_rngs = self._steal_rngs
         wsqs = self.wsqs
         aqs = self.aqs
         n1 = self._num_cores - 1
@@ -849,7 +771,7 @@ class SimulatedRuntime:
             cell = rng[owner]
             idx = cell[1]
             if idx >= 64:
-                cell[0] = integers[owner](0, n1, size=64)
+                cell[0] = steal_rngs[owner].integers(0, n1, size=64)
                 idx = 0
             cell[1] = idx + 1
             scans += 1
@@ -859,7 +781,7 @@ class SimulatedRuntime:
             for owner, (t, order) in list(virtual.items()):
                 if t < head_time:
                     cell = rng[owner]
-                    draw = integers[owner]
+                    draw = steal_rngs[owner].integers
                     idx = cell[1]
                     while t < head_time:
                         if idx >= 64:
@@ -1180,6 +1102,11 @@ class SimulatedRuntime:
         self._crash_epoch[core] += 1
         self._crash_time[core] = self.env.now
         self._idle_events.pop(core, None)
+        # Cancel an in-flight spin tick: neither it nor a collapse may
+        # keep drawing victims for a dead worker.
+        seq = self._spin_tick_seq[core]
+        if self._spin_ticks.pop(seq, None) is not None:
+            self.env._queue._defunct.add(seq)
         worker = self._workers[core]
         if worker is not None and worker.is_alive:
             worker.interrupt("core-crashed")
@@ -1372,14 +1299,6 @@ class SimulatedRuntime:
     # ------------------------------------------------------------------
     # idle management
     # ------------------------------------------------------------------
-    def _register_idle(self, core: int) -> Event:
-        # Pooled: only this dict holds the event until it is succeeded,
-        # and the waiting worker's generator drops its reference when
-        # resumed, so recycling after processing is safe.
-        event = self.env._pooled_event()
-        self._idle_events[core] = event
-        return event
-
     def _wake(self, cores) -> None:
         """Wake idle workers among ``cores`` in random order.
 

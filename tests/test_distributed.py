@@ -533,65 +533,103 @@ class TestDistributedRuntimeFaults:
 
 class TestStealEdgeCases:
     """Work stealing at its boundaries: no victims, empty victims, and a
-    victim that crashes while holding stealable work."""
+    victim that crashes while holding stealable work.  Observed through
+    whole runs: the tracer's steal events and the collector counters."""
 
-    def _runtime(self, num_cores, with_faults=False, tasks=0):
+    def _run(self, num_cores, tasks, work=1e-4, skew=1, tries=1,
+             crashes=(), seed=0, before_loss=None):
         from repro.core.policies.registry import make_scheduler
         from repro.faults import FaultPlan, FaultScenario
         from repro.machine.speed import SpeedModel
+        from repro.runtime.config import RuntimeConfig
         from repro.runtime.executor import SimulatedRuntime
+        from repro.trace import FullTracer
+        from repro.trace.events import StealEvent
 
         env = Environment()
         machine = symmetric_machine(1, num_cores)
         speed = SpeedModel(env, machine)
-        if with_faults:
-            FaultScenario(FaultPlan()).install(env, speed, machine)
+        if crashes:
+            FaultScenario(FaultPlan(crashes=crashes)).install(
+                env, speed, machine
+            )
         graph = TaskGraph("steal-edges")
-        made = [
-            graph.add_task(FixedWorkKernel("k", work=1e-4))
-            for _ in range(tasks)
-        ]
+        for i in range(tasks):
+            # skew > 1 makes every odd-numbered root (odd cores, under
+            # round-robin seeding) longer, so queues drain unevenly.
+            graph.add_task(
+                FixedWorkKernel("k", work=work * (skew if i % 2 else 1))
+            )
+        tracer = FullTracer()
         runtime = SimulatedRuntime(
-            env, machine, graph, make_scheduler("rws"), speed=speed, seed=0
+            env, machine, graph, make_scheduler("rws"), speed=speed,
+            config=RuntimeConfig(steal_tries=tries), seed=seed,
+            tracer=tracer,
         )
-        return env, runtime, made
+        if before_loss is not None:
+            handle = runtime._handle_worker_lost
+
+            def lost(core):
+                before_loss(runtime, core)
+                handle(core)
+
+            runtime._handle_worker_lost = lost
+        result = runtime.run()
+        assert result.tasks_completed == tasks
+        steals = [e for e in tracer.events() if isinstance(e, StealEvent)]
+        return result.collector, steals
 
     def test_single_core_machine_never_steals(self):
-        _, runtime, _ = self._runtime(num_cores=1)
-        assert runtime._try_steal(0) is None
+        collector, steals = self._run(num_cores=1, tasks=20)
+        assert steals == []
+        assert collector.steals == 0
+        assert collector.failed_steal_scans == 0
 
     def test_steal_scan_over_empty_victims_fails_cleanly(self):
-        _, runtime, _ = self._runtime(num_cores=4)
-        before = runtime.collector.failed_steal_scans
-        assert runtime._try_steal(0) is None
-        assert runtime.collector.failed_steal_scans == before + 1
+        # One task: its owner pops it, and each other worker's first scan
+        # finds every victim empty and counts exactly one failed scan,
+        # however many victims it probed.
+        for tries in (1, 3):
+            collector, steals = self._run(num_cores=4, tasks=1, tries=tries)
+            assert sorted(e.thief for e in steals) == [1, 2, 3]
+            assert all(
+                e.outcome == "miss" and e.victim == -1 and e.task_id == -1
+                for e in steals
+            )
+            assert collector.failed_steal_scans == 3
+            assert collector.steals == 0
 
     def test_thief_never_probes_its_own_queue(self):
-        # Only the thief's queue holds work: every probe must skip it.
-        _, runtime, tasks = self._runtime(num_cores=2, tasks=1)
-        runtime.wsqs[0].push(tasks[0])
-        for _ in range(50):
-            assert runtime._try_steal(0) is None
-        assert len(runtime.wsqs[0]) == 1
+        for num_cores, tries in ((2, 1), (4, 1), (4, 3)):
+            collector, steals = self._run(
+                num_cores=num_cores, tasks=60, skew=5, tries=tries
+            )
+            hits = [e for e in steals if e.outcome == "hit"]
+            assert hits
+            assert len(hits) == collector.steals
+            assert all(e.victim != e.thief for e in steals)
+            if num_cores == 2:
+                # The only possible victim is the other core.
+                assert all(e.victim == 1 - e.thief for e in hits)
 
     def test_steal_racing_victim_crash(self):
-        # The victim crashes while its queue holds work; detection
-        # reclaims it onto live cores, where stealing can still find it.
-        env, runtime, tasks = self._runtime(
-            num_cores=4, with_faults=True, tasks=3
+        # Core 1 crashes while its queue holds work; detection reclaims
+        # it onto live cores, where stealing can still find it.
+        from repro.faults import CoreCrash
+
+        reclaimed = []
+
+        def capture(runtime, core):
+            reclaimed.extend(t.task_id for t in runtime.wsqs[core]._items)
+
+        _, steals = self._run(
+            num_cores=4, tasks=12, work=4e-3,
+            crashes=(CoreCrash(1, 1e-3),), before_loss=capture,
         )
-        for task in tasks:
-            runtime.wsqs[1].push(task)
-        runtime.on_core_crashed(1)
-        env.run()  # lease expires, queues reclaimed
-        assert runtime._dead[1]
-        assert len(runtime.wsqs[1]) == 0
-        live_depth = sum(len(q) for q in runtime.wsqs)
-        assert live_depth == 3  # nothing lost in the race
+        assert reclaimed  # the crash stranded queued work
         stolen = [
-            task for task in
-            (runtime._try_steal(2) for _ in range(100))
-            if task is not None
+            e for e in steals
+            if e.outcome == "hit" and e.task_id in reclaimed
         ]
         assert stolen  # reclaimed work is reachable by thieves
-        assert all(t in tasks for t in stolen)
+        assert all(e.thief != 1 and e.victim != 1 for e in stolen)

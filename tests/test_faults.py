@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from repro.core.policies.registry import SCHEDULER_NAMES, make_scheduler
 from repro.errors import ConfigurationError, TaskRetryExhausted
 from repro.faults import CoreCrash, FaultInjector, FaultPlan, FaultScenario, StragglerWindow
+from repro.graph.dag import TaskGraph
 from repro.graph.generators import random_layered_dag
 from repro.kernels.fixed import FixedWorkKernel
 from repro.machine.presets import jetson_tx2, symmetric_machine
@@ -223,6 +224,35 @@ class TestCrashRecovery:
         plan = FaultPlan(crashes=(CoreCrash(1, at=0.3 * clean.makespan),))
         with pytest.raises(TaskRetryExhausted):
             _run(seed=1, plan=plan, config=config)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_crash_with_idle_wake_pending_loses_no_task(self, seed):
+        # A stealable push wakes every idle worker; the wakes are queued
+        # when those workers crash in the same instant.  A wake that
+        # fires for a dead worker must do nothing: if it stole the task,
+        # nobody would be left to run it.
+        env = Environment()
+        machine = symmetric_machine(1, 4)
+        speed = SpeedModel(env, machine)
+        FaultScenario(FaultPlan()).install(env, speed, machine)
+        graph = TaskGraph("idle-wake-crash")
+        graph.add_task(FixedWorkKernel("long", work=1e-2))
+        runtime = SimulatedRuntime(
+            env, machine, graph, make_scheduler("rws"), speed=speed,
+            seed=seed,
+        )
+        runtime.start()
+        while len(runtime._idle_events) < 3:
+            env.step()
+        late = graph.add_task(FixedWorkKernel("late", work=1e-4))
+        graph.drain_ready()
+        runtime._enqueue_ready(late, waker_core=0)
+        assert not runtime._idle_events  # every idle worker was woken
+        for core in (1, 2, 3):
+            runtime.on_core_crashed(core)
+        result = runtime.run()
+        assert result.tasks_completed == 2
+        assert result.collector.steals == 0
 
     def test_detection_latency_equals_lease(self):
         _, clean, _ = _run(seed=5)

@@ -11,7 +11,9 @@ code it replaced.  The tests here state those claims as properties:
   targeted (the id-reuse regression), and pooled events recycle without
   aliasing,
 * the buffered single-victim steal draw is stream-identical to the
-  ``choice`` call it replaced.
+  ``choice`` call it replaced,
+* the one worker loop gives the same schedule traced and untraced, for
+  every ``steal_tries``, with faults armed, and under real crashes.
 """
 
 import numpy as np
@@ -27,6 +29,7 @@ from repro.core.placement import (
     width_one_places,
 )
 from repro.core.ptt import PerformanceTraceTable
+from repro.experiments.common import TX2_SCHEDULERS
 from repro.graph.generators import (
     chain_dag,
     diamond_dag,
@@ -357,15 +360,17 @@ class TestStealDrawEquivalence:
 
 
 class TestTickDriverEquivalence:
-    """The steal-backoff tick driver vs the plain generator path.
+    """Every configuration runs the same worker loop.
 
-    Under the default single-try steal configuration the executor drives
-    backoff waits, spin collapse and idle wakes through pooled callback
-    events; with tracing enabled it takes the original sleep-and-resume
-    generator path.  Tracing is observational (it never consumes
-    randomness or schedules events), so the two paths must produce the
-    same schedule to the bit — including the bulk-counted failed steal
-    scans the collapse fast-forwards.
+    The executor drives steal-backoff waits and idle wakes through pooled
+    callback events (the tick driver) for every configuration: traced or
+    not, any ``steal_tries``, faults armed or not.  Only the spin
+    collapse is configuration-dependent — it runs for single-try,
+    untraced runs — and it must be exact.  Tracing is observational (it
+    never consumes randomness or schedules events) and an idle fault
+    injector changes nothing, so each pair below must produce the same
+    schedule to the bit, including the bulk-counted failed steal scans
+    the collapse fast-forwards.
     """
 
     @staticmethod
@@ -384,16 +389,77 @@ class TestTickDriverEquivalence:
             sorted(result.collector.core_busy.items()),
         )
 
+    @staticmethod
+    def _run(scheduler, seed, tries=1, tracer=None, scenario=None):
+        from repro.runtime.config import RuntimeConfig
+        from repro.session import run_graph
+
+        graph = layered_synthetic_dag(MatMulKernel(), 4, 60)
+        return run_graph(
+            graph, TX2, scheduler, scenario=scenario,
+            config=RuntimeConfig(steal_tries=tries), seed=seed,
+            tracer=tracer,
+        )
+
+    def _traced_matches_untraced(self, scheduler, seed, tries):
+        from repro.trace import FullTracer
+
+        plain = self._fingerprint(self._run(scheduler, seed, tries))
+        traced = self._fingerprint(
+            self._run(scheduler, seed, tries, tracer=FullTracer())
+        )
+        assert plain == traced
+
     @pytest.mark.parametrize("scheduler", ["rws", "fa", "fam-c", "da", "dam-c"])
     @pytest.mark.parametrize("seed", [0, 3])
     def test_driver_matches_generator_path(self, scheduler, seed):
-        from repro.session import run_graph
-        from repro.trace import FullTracer
+        # Single-try steal: the untraced run collapses provable-miss
+        # spins, the traced run steps through every one of them.
+        self._traced_matches_untraced(scheduler, seed, tries=1)
 
-        def run(tracer=None):
-            graph = layered_synthetic_dag(MatMulKernel(), 4, 60)
-            return run_graph(graph, TX2, scheduler, seed=seed, tracer=tracer)
+    @pytest.mark.parametrize("tries", [2, 3])
+    @pytest.mark.parametrize("scheduler", ["rws", "fa", "fam-c", "da", "dam-c"])
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_multi_try_traced_matches_untraced(self, scheduler, seed, tries):
+        self._traced_matches_untraced(scheduler, seed, tries)
 
-        driven = self._fingerprint(run())
-        generated = self._fingerprint(run(tracer=FullTracer()))
-        assert driven == generated
+    @pytest.mark.parametrize(
+        "scheduler", ["rws", "fa", "fam-c", "da", "dam-c", "dam-p"]
+    )
+    def test_idle_fault_injector_matches_plain(self, scheduler):
+        from repro.faults import FaultPlan, FaultScenario
+
+        plain = self._fingerprint(self._run(scheduler, 0))
+        armed = self._fingerprint(
+            self._run(scheduler, 0, scenario=FaultScenario(FaultPlan()))
+        )
+        assert plain == armed
+
+    @pytest.mark.parametrize("scheduler", TX2_SCHEDULERS)
+    def test_real_crash_traced_matches_untraced(self, scheduler, tmp_path):
+        # Untraced runs take the spin collapse, traced runs never do: the
+        # pair proves the collapse exact with crashes, lease expiry,
+        # reclaim and retries in play.
+        from repro.experiments.common import ExperimentSettings
+        from repro.experiments.fig_faults import baseline_spec, faulted_spec
+        from repro.sweep.registry import execute_spec
+        from repro.sweep.spec import RunSpec
+
+        settings = ExperimentSettings(scale=0.02)
+        clean = execute_spec(baseline_spec(settings, scheduler))["makespan"]
+        spec = faulted_spec(settings, scheduler, clean)
+        plain = execute_spec(spec)
+        traced_spec = RunSpec(
+            kind=spec.kind,
+            params={**spec.params,
+                    "trace": {"out_dir": str(tmp_path), "label": scheduler}},
+            seed=spec.seed,
+            metrics=spec.metrics,
+            tags=spec.tags,
+        )
+        traced = execute_spec(traced_spec)
+        assert traced["trace_events"] > 0
+        assert plain["workers_lost"] == 1
+        assert plain == {
+            k: v for k, v in traced.items() if not k.startswith("trace_")
+        }
